@@ -9,6 +9,7 @@
 #include "core/bundlecharge.h"
 #include "geometry/anchor_search.h"
 #include "geometry/minidisk.h"
+#include "oracles/geometry_reference.h"
 #include "tsp/solver.h"
 
 namespace {

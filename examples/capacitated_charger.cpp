@@ -1,6 +1,8 @@
 // Example: a battery-limited mobile charger. Plans a BC-OPT tour, then
 // splits it into depot-anchored trips that each fit the charger's battery
-// — the capacity-constrained regime of the paper's baseline [4].
+// — the capacity-constrained regime of the paper's baseline [4]: one
+// charger, one depot. A battery too small for some stop's out-and-back
+// trip is reported as a kBatteryShortfall fault (exit status 1).
 //
 //   ./capacitated_charger [--nodes=150] [--radius=60] [--battery=20000]
 
@@ -9,7 +11,6 @@
 #include "core/bundlecharge.h"
 #include "support/cli.h"
 #include "support/table.h"
-#include "tour/multi_trip.h"
 
 int main(int argc, char** argv) {
   bc::support::CliFlags flags(
@@ -26,13 +27,15 @@ int main(int argc, char** argv) {
   bc::support::Rng rng(static_cast<std::uint64_t>(flags.get_int("seed")));
   const bc::net::Deployment deployment = bc::net::uniform_random_deployment(
       static_cast<std::size_t>(flags.get_int("nodes")), profile.field, rng);
+  const bc::charging::ChargingModel& charging = profile.planner.charging;
+  const bc::charging::MovementModel& movement = profile.planner.movement;
 
   const bc::core::BundleChargingPlanner planner(profile);
   const bc::core::PlanResult result =
       planner.plan(deployment, bc::tour::Algorithm::kBcOpt);
+  const bc::geometry::Point2 depot = result.plan.depot;
   const double single_trip = bc::tour::trip_energy_j(
-      deployment, result.plan, profile.planner.charging,
-      profile.planner.movement);
+      deployment, result.plan.stops, depot, depot, charging, movement);
 
   const double battery = flags.get_double("battery");
   std::cout << "BC-OPT tour needs "
@@ -40,29 +43,37 @@ int main(int argc, char** argv) {
             << " J in one trip; battery holds "
             << bc::support::Table::num(battery, 0) << " J\n\n";
 
-  const bc::tour::MultiTripPlan trips = bc::tour::split_into_trips(
-      deployment, result.plan, profile.planner.charging,
-      profile.planner.movement, battery);
+  bc::tour::DepotFleetOptions options;
+  options.depots = {depot};
+  options.battery_capacity_j = battery;
+  const auto fleet = bc::tour::split_among_depot_fleet(
+      deployment, result.plan, charging, movement, options);
+  if (!fleet.has_value()) {
+    std::cerr << bc::support::to_string(fleet.fault().kind) << ": "
+              << fleet.fault().message << "\n";
+    return 1;
+  }
+  const std::vector<bc::tour::DepotTrip>& trips =
+      fleet.value().routes.front().trips;
 
   bc::support::Table table(
       {"trip", "stops", "length [m]", "energy [J]", "battery used [%]"});
-  for (std::size_t t = 0; t < trips.trips.size(); ++t) {
+  for (std::size_t t = 0; t < trips.size(); ++t) {
     const double energy = bc::tour::trip_energy_j(
-        deployment, trips.trips[t], profile.planner.charging,
-        profile.planner.movement);
+        deployment, trips[t].stops, depot, depot, charging, movement);
     table.add_row(
         {bc::support::Table::num(static_cast<long long>(t + 1)),
          bc::support::Table::num(
-             static_cast<long long>(trips.trips[t].stops.size())),
+             static_cast<long long>(trips[t].stops.size())),
          bc::support::Table::num(
-             bc::tour::plan_tour_length(trips.trips[t]), 0),
+             bc::tour::trip_length_m(trips[t].stops, depot, depot), 0),
          bc::support::Table::num(energy, 0),
          bc::support::Table::num(100.0 * energy / battery, 1)});
   }
   table.print(std::cout);
 
-  const bc::tour::MultiTripMetrics m = bc::tour::evaluate_trips(
-      deployment, trips, profile.planner.charging, profile.planner.movement);
+  const bc::tour::DepotFleetMetrics m = bc::tour::evaluate_depot_fleet(
+      deployment, fleet.value(), options, charging, movement);
   std::cout << "\n" << m.num_trips << " trips, total "
             << bc::support::Table::num(m.total_energy_j, 0) << " J ("
             << bc::support::Table::num(

@@ -1,5 +1,6 @@
 // Example: sizing and operating a fleet of mobile chargers — the
-// minimum-chargers question of the paper's related work [26, 27].
+// minimum-chargers question of the paper's related work [26, 27]. All
+// chargers share the deployment depot and have unlimited batteries.
 //
 //   ./charger_fleet [--nodes=200] [--radius=60] [--deadline-min=60]
 
@@ -8,7 +9,6 @@
 #include "core/bundlecharge.h"
 #include "support/cli.h"
 #include "support/table.h"
-#include "tour/fleet.h"
 
 int main(int argc, char** argv) {
   bc::support::CliFlags flags(
@@ -26,27 +26,32 @@ int main(int argc, char** argv) {
   bc::support::Rng rng(static_cast<std::uint64_t>(flags.get_int("seed")));
   const bc::net::Deployment deployment = bc::net::uniform_random_deployment(
       static_cast<std::size_t>(flags.get_int("nodes")), profile.field, rng);
+  const bc::charging::ChargingModel& charging = profile.planner.charging;
+  const bc::charging::MovementModel& movement = profile.planner.movement;
 
   const bc::core::BundleChargingPlanner planner(profile);
   const bc::core::PlanResult result =
       planner.plan(deployment, bc::tour::Algorithm::kBcOpt);
-  const double solo_s = bc::tour::route_time_s(
-      deployment, result.plan, profile.planner.charging,
-      profile.planner.movement);
-  std::cout << "one charger finishes the BC-OPT mission in "
-            << bc::support::Table::num(solo_s / 60.0, 1) << " min\n\n";
 
+  bc::tour::DepotFleetOptions options;
+  options.depots = {result.plan.depot};
   bc::support::Table table({"chargers", "makespan [min]", "speedup",
                             "total energy [J]", "energy overhead [%]"});
+  double solo_s = 0.0;
   double base_energy = 0.0;
   for (const std::size_t k : {1u, 2u, 3u, 4u, 6u, 8u}) {
-    const bc::tour::FleetPlan fleet = bc::tour::split_among_chargers(
-        deployment, result.plan, profile.planner.charging,
-        profile.planner.movement, k);
-    const bc::tour::FleetMetrics m = bc::tour::evaluate_fleet(
-        deployment, fleet, profile.planner.charging,
-        profile.planner.movement);
-    if (k == 1) base_energy = m.total_energy_j;
+    options.num_chargers = k;
+    // Unlimited battery: the split cannot fault.
+    const auto fleet = bc::tour::split_among_depot_fleet(
+        deployment, result.plan, charging, movement, options);
+    const bc::tour::DepotFleetMetrics m = bc::tour::evaluate_depot_fleet(
+        deployment, fleet.value(), options, charging, movement);
+    if (k == 1) {
+      solo_s = m.makespan_s;
+      base_energy = m.total_energy_j;
+      std::cout << "one charger finishes the BC-OPT mission in "
+                << bc::support::Table::num(solo_s / 60.0, 1) << " min\n\n";
+    }
     table.add_row(
         {bc::support::Table::num(static_cast<long long>(k)),
          bc::support::Table::num(m.makespan_s / 60.0, 1),
@@ -59,8 +64,8 @@ int main(int argc, char** argv) {
 
   const double deadline_s = flags.get_double("deadline-min") * 60.0;
   const std::size_t needed = bc::tour::minimum_fleet_size(
-      deployment, result.plan, profile.planner.charging,
-      profile.planner.movement, deadline_s);
+      deployment, result.plan, charging, movement, options.depots,
+      deadline_s);
   std::cout << "\nto finish within "
             << bc::support::Table::num(deadline_s / 60.0, 0)
             << " min you need " << needed << " charger(s).\n";

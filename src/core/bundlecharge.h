@@ -34,7 +34,7 @@
 #include "sim/experiment.h"         // IWYU pragma: export
 #include "sim/schedule.h"           // IWYU pragma: export
 #include "support/rng.h"            // IWYU pragma: export
-#include "tour/multi_trip.h"        // IWYU pragma: export
+#include "tour/depots.h"            // IWYU pragma: export
 #include "tour/plan.h"              // IWYU pragma: export
 #include "tour/planner.h"           // IWYU pragma: export
 #include "viz/plan_render.h"        // IWYU pragma: export

@@ -139,23 +139,4 @@ AnchorSearchResult optimal_point_on_circle(Point2 a, Point2 b, Point2 center,
   return AnchorSearchResult{on_circle(center, radius, best_theta), best_value};
 }
 
-AnchorSearchResult optimal_point_on_circle_brute(Point2 a, Point2 b,
-                                                 Point2 center, double radius,
-                                                 std::size_t samples) {
-  bc::support::require(samples >= 1, "need at least one sample");
-  const double two_pi = 2.0 * std::numbers::pi;
-  AnchorSearchResult best{on_circle(center, radius, 0.0), 0.0};
-  best.detour = focal_sum(a, b, best.point);
-  for (std::size_t i = 1; i < samples; ++i) {
-    const double theta = two_pi * static_cast<double>(i) /
-                         static_cast<double>(samples);
-    const Point2 p = on_circle(center, radius, theta);
-    const double value = focal_sum(a, b, p);
-    if (value < best.detour) {
-      best = AnchorSearchResult{p, value};
-    }
-  }
-  return best;
-}
-
 }  // namespace bc::geometry

@@ -9,9 +9,9 @@
 // point be located by a 1-D root search in O(log h) instead of scanning h²
 // grid positions.
 //
-// We expose both the production search (coarse angular scan to bracket the
-// bisector-condition sign change, then bisection on the derivative) and a
-// brute-force reference used by tests.
+// The search is a coarse angular scan to bracket the bisector-condition
+// sign change, then bisection on the derivative. The brute-force reference
+// the tests validate it against lives in tests/oracles.
 
 #ifndef BUNDLECHARGE_GEOMETRY_ANCHOR_SEARCH_H_
 #define BUNDLECHARGE_GEOMETRY_ANCHOR_SEARCH_H_
@@ -44,12 +44,6 @@ AnchorSearchResult optimal_point_on_circle(Point2 a, Point2 b, Point2 center,
                                            double radius,
                                            const AnchorSearchOptions& options =
                                                AnchorSearchOptions{});
-
-// O(h) reference: evaluates `samples` evenly spaced angles and returns the
-// best. Used by property tests to validate the bisection search.
-AnchorSearchResult optimal_point_on_circle_brute(Point2 a, Point2 b,
-                                                 Point2 center, double radius,
-                                                 std::size_t samples = 20000);
 
 // Theorem 5 residual: difference of cosines between the inward radius
 // direction and the two focal directions at P (zero when CP bisects ∠APB).

@@ -1,7 +1,5 @@
 #include "geometry/minidisk.h"
 
-#include <algorithm>
-
 #include "support/require.h"
 
 namespace bc::geometry {
@@ -76,36 +74,6 @@ bool fits_in_radius(std::span<const Point2> points, double r,
   if (points.empty()) return true;
   const Circle sed = smallest_enclosing_disk(points, rng);
   return sed.radius <= r * (1.0 + 1e-9) + 1e-12;
-}
-
-Circle smallest_enclosing_disk_brute(std::span<const Point2> points) {
-  bc::support::require(!points.empty(),
-                       "smallest_enclosing_disk_brute of empty point set");
-  const auto covers_all = [&](const Circle& c) {
-    return std::all_of(points.begin(), points.end(),
-                       [&](Point2 p) { return c.contains(p, 1e-7); });
-  };
-  Circle best{points[0], 0.0};
-  bool found = false;
-  const auto consider = [&](const Circle& c) {
-    if (!covers_all(c)) return;
-    if (!found || c.radius < best.radius) {
-      best = c;
-      found = true;
-    }
-  };
-  consider(Circle{points[0], 0.0});
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    for (std::size_t j = i + 1; j < points.size(); ++j) {
-      consider(circle_from_two(points[i], points[j]));
-      for (std::size_t k = j + 1; k < points.size(); ++k) {
-        const auto c = circle_from_three(points[i], points[j], points[k]);
-        if (c.has_value()) consider(*c);
-      }
-    }
-  }
-  bc::support::ensure(found, "brute-force SED must find a covering disk");
-  return best;
 }
 
 }  // namespace bc::geometry

@@ -30,10 +30,6 @@ Circle smallest_enclosing_disk(std::span<const Point2> points,
 bool fits_in_radius(std::span<const Point2> points, double r,
                     bc::support::Rng rng = bc::support::Rng(42));
 
-// Brute-force O(n^4) reference used by tests: tries all 2- and 3-point
-// support sets. Precondition: !points.empty().
-Circle smallest_enclosing_disk_brute(std::span<const Point2> points);
-
 }  // namespace bc::geometry
 
 #endif  // BUNDLECHARGE_GEOMETRY_MINIDISK_H_

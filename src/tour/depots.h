@@ -1,34 +1,38 @@
-// Multi-depot, battery-constrained fleet planning.
+// Fleet splitting: k chargers, m depots, a per-trip battery.
 //
-// fleet.h splits a tour among k chargers that all live at one depot.
-// Real deployments (and the multi-charger literature the paper cites in
-// [26, 27]) often have several charging depots — maintenance sheds at the
-// field's corners — and a mobile charger whose battery cannot cover a
-// whole route in one go. This module generalises the fleet splitter along
-// both axes while reusing the exact machinery that already exists:
+// The paper notes (like its baseline [4]) that a real mobile charger
+// carries a finite battery, and its related work ([26, 27]) asks how many
+// chargers a network needs and how to divide the sensors among them. Real
+// deployments also often have several charging depots — maintenance sheds
+// at the field's corners. This module answers all three with one
+// splitter that keeps the stop order of the underlying plan (which the
+// TSP already optimised):
 //
-//  * The stop sequence is cut into per-charger routes by the SAME shared
-//    core as split_among_chargers (split_routes_minimizing_makespan),
-//    except a route's time is taken under its best depot. With a single
-//    depot the candidate set has one element, so the splitter reduces to
-//    split_among_chargers bit-for-bit — a property the differential tests
-//    pin.
-//  * Each route is anchored at its best ("home") depot, then cut into
-//    battery-feasible trips. Depot visits are inserted into the route at
-//    trip boundaries via the cheapest-insertion primitive
-//    (tour::insertion_detour): among the depots that keep the closing
-//    trip within the battery, the one with the smallest detour between
-//    the boundary stops wins.
+//  * Phase 1 cuts the stop sequence into k consecutive per-charger routes
+//    minimising the fleet makespan (the slowest charger's mission time):
+//    binary search over the makespan with a greedy consecutive-split
+//    feasibility check, then a boundary-shift pass. Each candidate route
+//    is timed under its best depot.
+//  * Phase 2 anchors each route at that best ("home") depot.
+//  * Phase 3 cuts each route into battery-feasible trips. Greedy in tour
+//    order; a trip closes at the feasible depot whose insertion between
+//    the boundary stops detours least (tour::insertion_detour). A
+//    boundary-shift pass then moves a head or tail stop across a trip
+//    boundary, depots held fixed, whenever that lowers the two trips'
+//    summed energy and the receiving trip stays within the battery.
 //  * All tie-breaks are deterministic: depot candidates are scanned in
 //    ascending index with strict `<`, so the lowest-index depot wins ties
 //    and results are reproducible across runs and thread counts.
 //
+// One depot and k = 1 is the capacitated multi-trip split of [4]; one
+// depot and no battery is the plain makespan split among k chargers.
+// tests/tour/depots_golden.txt pins both reductions bit for bit.
+//
 // The charger's battery resets at every depot visit (swap or recharge), so
 // a trip — the segment between consecutive depot visits — is the unit of
-// battery feasibility, mirroring multi_trip.h. Unlike multi_trip, a trip
-// may start and end at different depots; consecutive trips of a route
-// chain (trip i ends where trip i+1 starts) and the route ends back at
-// its home depot.
+// battery feasibility. A trip may start and end at different depots;
+// consecutive trips of a route chain (trip i ends where trip i+1 starts)
+// and the route ends back at its home depot.
 //
 // Infeasibility is a structured fault, never a silent drop: when some
 // stop cannot be served within the battery from any depot pair, the
@@ -94,30 +98,21 @@ struct DepotFleetMetrics {
   std::vector<double> route_times_s;  // per non-idle route
 };
 
-// Movement length of one trip under `metric`: start depot -> stops in
-// order -> end depot.
-double depot_trip_length_m(const DepotTrip& trip,
-                           std::span<const geometry::Point2> depots,
-                           const net::MetricSpace* metric = nullptr);
+// Movement length of one trip under `metric` (null = Euclidean):
+// start -> stops in order -> end.
+double trip_length_m(std::span<const Stop> stops, geometry::Point2 start,
+                     geometry::Point2 end,
+                     const net::MetricSpace* metric = nullptr);
 
-// Battery drain of one trip: movement energy over its length + isolated
-// charging cost at its stops. The quantity the splitter bounds by the
-// battery capacity.
-double depot_trip_energy_j(const net::Deployment& deployment,
-                           const DepotTrip& trip,
-                           std::span<const geometry::Point2> depots,
-                           const charging::ChargingModel& charging,
-                           const charging::MovementModel& movement,
-                           const net::MetricSpace* metric = nullptr);
-
-// Mission time of one route: driving over all trips + isolated stop
-// times. Battery swaps at depots are assumed instantaneous.
-double depot_route_time_s(const net::Deployment& deployment,
-                          const DepotRoute& route,
-                          std::span<const geometry::Point2> depots,
-                          const charging::ChargingModel& charging,
-                          const charging::MovementModel& movement,
-                          const net::MetricSpace* metric = nullptr);
+// Battery drain of one trip: movement energy over trip_length_m + the
+// isolated charging cost at its stops. The quantity the splitter bounds
+// by the battery capacity.
+double trip_energy_j(const net::Deployment& deployment,
+                     std::span<const Stop> stops, geometry::Point2 start,
+                     geometry::Point2 end,
+                     const charging::ChargingModel& charging,
+                     const charging::MovementModel& movement,
+                     const net::MetricSpace* metric = nullptr);
 
 // Splits `plan` among options.num_chargers chargers over
 // options.depots, minimising the fleet makespan, then cuts each route
@@ -137,6 +132,20 @@ DepotFleetMetrics evaluate_depot_fleet(const net::Deployment& deployment,
                                        const DepotFleetOptions& options,
                                        const charging::ChargingModel& charging,
                                        const charging::MovementModel& movement);
+
+// Smallest fleet whose makespan meets `deadline_s` (the [26, 27] sizing
+// question), each route timed under its best depot exactly as in the
+// splitter's phase 1; battery limits do not enter. 0 for a plan without
+// stops. Preconditions: depots non-empty, deadline_s > 0, and every
+// single stop alone meets the deadline from some depot — otherwise no
+// fleet size can help and a PreconditionError is thrown.
+std::size_t minimum_fleet_size(const net::Deployment& deployment,
+                               const ChargingPlan& plan,
+                               const charging::ChargingModel& charging,
+                               const charging::MovementModel& movement,
+                               std::span<const geometry::Point2> depots,
+                               double deadline_s,
+                               const net::MetricSpace* metric = nullptr);
 
 }  // namespace bc::tour
 

@@ -62,16 +62,6 @@ double improve_tour(std::span<const geometry::Point2> points, Tour& order,
                     const ImproveOptions& options = ImproveOptions{},
                     support::BudgetMeter* meter = nullptr);
 
-// Reference implementations: the original naive full-scan first-improvement
-// bodies, kept verbatim as the differential-testing oracle for the
-// neighbour-list versions above. `options.neighbors` is ignored.
-double two_opt_reference(std::span<const geometry::Point2> points, Tour& order,
-                         const ImproveOptions& options = ImproveOptions{},
-                         support::BudgetMeter* meter = nullptr);
-double or_opt_reference(std::span<const geometry::Point2> points, Tour& order,
-                        const ImproveOptions& options = ImproveOptions{},
-                        support::BudgetMeter* meter = nullptr);
-
 }  // namespace bc::tsp
 
 #endif  // BUNDLECHARGE_TSP_IMPROVE_H_

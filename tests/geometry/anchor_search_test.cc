@@ -10,6 +10,7 @@
 
 #include "geometry/ellipse.h"
 #include "geometry/segment.h"
+#include "oracles/geometry_reference.h"
 #include "support/require.h"
 #include "support/rng.h"
 

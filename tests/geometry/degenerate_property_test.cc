@@ -15,6 +15,7 @@
 #include "geometry/anchor_search.h"
 #include "geometry/minidisk.h"
 #include "geometry/point.h"
+#include "oracles/geometry_reference.h"
 #include "support/rng.h"
 
 namespace bc::geometry {

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include "oracles/geometry_reference.h"
 #include "support/require.h"
 #include "support/rng.h"
 

@@ -15,7 +15,7 @@
 #include "support/parallel.h"
 #include "support/rng.h"
 #include "tour/anneal.h"
-#include "tour/fleet.h"
+#include "tour/depots.h"
 #include "tour/planner.h"
 #include "tour/replan.h"
 #include "tour/splice.h"
@@ -119,19 +119,50 @@ TEST_P(MetricOracleTest, FleetSplitIsByteIdentical) {
       charging::ChargingModel::icdcs2019_simulation();
   const charging::MovementModel movement =
       charging::MovementModel::icdcs2019();
+  // One depot with unlimited battery, then three depots with a battery
+  // small enough to force trip cuts and, at k = 3, a deadhead.
+  tour::DepotFleetOptions euclid;
+  euclid.depots = {plan.depot};
+  std::vector<tour::DepotFleetOptions> cases;
   for (const std::size_t k : {1u, 3u, 5u}) {
-    const tour::FleetPlan a =
-        tour::split_among_chargers(d, plan, charging, movement, k);
-    const tour::FleetPlan b = tour::split_among_chargers(
-        d, plan, charging, movement, k, metric.get());
-    ASSERT_EQ(a.routes.size(), b.routes.size()) << "k=" << k;
-    for (std::size_t r = 0; r < a.routes.size(); ++r) {
-      expect_identical(a.routes[r], b.routes[r], "fleet route");
+    euclid.num_chargers = k;
+    cases.push_back(euclid);
+  }
+  euclid.depots = {plan.depot, Point2{1000.0, 0.0}, Point2{500.0, 1000.0}};
+  euclid.battery_capacity_j = 8000.0;
+  for (const std::size_t k : {1u, 3u}) {
+    euclid.num_chargers = k;
+    cases.push_back(euclid);
+  }
+  for (const tour::DepotFleetOptions& options : cases) {
+    tour::DepotFleetOptions graph = options;
+    graph.metric = metric.get();
+    const auto a =
+        tour::split_among_depot_fleet(d, plan, charging, movement, options);
+    const auto b =
+        tour::split_among_depot_fleet(d, plan, charging, movement, graph);
+    ASSERT_TRUE(a.has_value()) << a.fault().message;
+    ASSERT_TRUE(b.has_value()) << b.fault().message;
+    const std::size_t k = options.num_chargers;
+    ASSERT_EQ(a.value().routes.size(), b.value().routes.size()) << "k=" << k;
+    for (std::size_t r = 0; r < a.value().routes.size(); ++r) {
+      const tour::DepotRoute& ra = a.value().routes[r];
+      const tour::DepotRoute& rb = b.value().routes[r];
+      EXPECT_EQ(ra.home_depot, rb.home_depot) << "k=" << k;
+      ASSERT_EQ(ra.trips.size(), rb.trips.size()) << "k=" << k;
+      for (std::size_t t = 0; t < ra.trips.size(); ++t) {
+        EXPECT_EQ(ra.trips[t].start_depot, rb.trips[t].start_depot);
+        EXPECT_EQ(ra.trips[t].end_depot, rb.trips[t].end_depot);
+        expect_identical(
+            tour::ChargingPlan{"", plan.depot, ra.trips[t].stops},
+            tour::ChargingPlan{"", plan.depot, rb.trips[t].stops},
+            "fleet trip");
+      }
     }
-    const tour::FleetMetrics ma =
-        tour::evaluate_fleet(d, a, charging, movement);
-    const tour::FleetMetrics mb =
-        tour::evaluate_fleet(d, b, charging, movement, metric.get());
+    const tour::DepotFleetMetrics ma = tour::evaluate_depot_fleet(
+        d, a.value(), options, charging, movement);
+    const tour::DepotFleetMetrics mb = tour::evaluate_depot_fleet(
+        d, b.value(), graph, charging, movement);
     EXPECT_EQ(ma.makespan_s, mb.makespan_s) << "k=" << k;
     EXPECT_EQ(ma.total_energy_j, mb.total_energy_j) << "k=" << k;
   }
