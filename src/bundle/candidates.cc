@@ -12,7 +12,6 @@
 #include "obs/trace.h"
 #include "support/parallel.h"
 #include "support/require.h"
-#include "support/simd.h"
 
 namespace bc::bundle {
 
@@ -68,7 +67,7 @@ bool enumerate_seeded_at(std::span<const Point2> positions,
   std::vector<net::SensorId> near_i;
   std::vector<net::SensorId> members;
   // SoA shadow of the pool: the per-circle membership scan is a streaming
-  // distance filter (support::simd) instead of an id-indirected gather,
+  // distance filter (net::filter_within) instead of an id-indirected gather,
   // and it runs twice per in-range pair.
   std::vector<double> pool_xs;
   std::vector<double> pool_ys;
@@ -95,9 +94,9 @@ bool enumerate_seeded_at(std::span<const Point2> positions,
         members.clear();
         // near_i is id-sorted and filter_within appends in scan order, so
         // members comes out id-sorted too.
-        support::simd::filter_within(pool_xs.data(), pool_ys.data(),
-                                     near_i.data(), near_i.size(), center.x,
-                                     center.y, member_r2, members);
+        net::filter_within(pool_xs.data(), pool_ys.data(), near_i.data(),
+                           near_i.size(), center.x, center.y, member_r2,
+                           members);
         if (members.size() < 2) continue;
         if (!emit(members)) return false;
       }

@@ -17,6 +17,7 @@
 #define BUNDLECHARGE_BUNDLE_EXACT_COVER_H_
 
 #include <cstddef>
+#include <cstdint>
 #include <optional>
 #include <span>
 #include <vector>
@@ -74,6 +75,23 @@ std::optional<std::vector<Bundle>> exact_cover(
 std::optional<std::vector<Bundle>> optimal_bundles(
     const net::Deployment& deployment, double r,
     const ExactCoverOptions& options = ExactCoverOptions{});
+
+namespace detail {
+
+// Word-level bitset kernels of the branch & bound, declared here for their
+// unit tests. A bitset is `words` 64-bit words.
+
+// Fused dst = src & ~mask, returning popcount(src & mask) (the number of
+// bits cleared). `dst` may alias `src` exactly, but must not partially
+// overlap `src` or `mask`.
+std::size_t subtract_and_count(std::uint64_t* dst, const std::uint64_t* src,
+                               const std::uint64_t* mask, std::size_t words);
+
+// popcount(a & b).
+std::size_t intersect_count(const std::uint64_t* a, const std::uint64_t* b,
+                            std::size_t words);
+
+}  // namespace detail
 
 }  // namespace bc::bundle
 

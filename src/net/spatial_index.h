@@ -9,6 +9,7 @@
 #define BUNDLECHARGE_NET_SPATIAL_INDEX_H_
 
 #include <cstddef>
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -16,6 +17,21 @@
 #include "net/sensor.h"
 
 namespace bc::net {
+
+// Appends ids[i] to `out` (not cleared) for every i in [0, count) with
+// (xs[i] - qx)^2 + (ys[i] - qy)^2 <= r2, in ascending i order. The SoA
+// distance scan behind every spatial-index row walk and candidate member
+// collection.
+inline void filter_within(const double* xs, const double* ys,
+                          const std::uint32_t* ids, std::size_t count,
+                          double qx, double qy, double r2,
+                          std::vector<std::uint32_t>& out) {
+  for (std::size_t i = 0; i < count; ++i) {
+    const double dx = xs[i] - qx;
+    const double dy = ys[i] - qy;
+    if (dx * dx + dy * dy <= r2) out.push_back(ids[i]);
+  }
+}
 
 class SpatialIndex {
  public:

@@ -3,12 +3,12 @@
 #include <algorithm>
 #include <atomic>
 #include <cinttypes>
-#include <cstdio>
 #include <cstring>
 #include <memory>
 #include <mutex>
 #include <unordered_map>
 
+#include "obs/trace.h"
 #include "support/atomic_file.h"
 #include "support/require.h"
 
@@ -291,18 +291,6 @@ const MetricsSnapshot::HistogramEntry* MetricsSnapshot::histogram(
   }
   return nullptr;
 }
-
-namespace {
-
-// %.17g round-trips doubles exactly and is locale-independent for the
-// values we emit (bounds are plain literals).
-std::string format_double(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
-
-}  // namespace
 
 std::string MetricsSnapshot::to_json(const std::string& indent) const {
   const std::string pad1 = indent + "  ";

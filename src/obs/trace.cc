@@ -15,12 +15,6 @@ TraceJournal* g_current_journal = nullptr;
 thread_local int t_span_depth = 0;
 thread_local bool t_worker_tracing = false;
 
-std::string format_double(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
-
 // Spans are recorded only from deterministic serial control flow: inside
 // a parallel_for chunk the records' existence and order would depend on
 // BC_THREADS, so chunks never journal. Threads flagged as workers are
@@ -284,6 +278,12 @@ std::string json_quote(std::string_view raw) {
   }
   out += '"';
   return out;
+}
+
+std::string format_double(double v) {
+  char buf[64];
+  std::snprintf(buf, sizeof(buf), "%.17g", v);
+  return buf;
 }
 
 }  // namespace bc::obs

@@ -208,6 +208,10 @@ class TracePoint {
 // JSON-escapes `raw` and wraps it in double quotes.
 std::string json_quote(std::string_view raw);
 
+// `v` as %.17g: round-trips every double exactly and is locale-independent
+// for the values emitted (no grouping, '.' decimal point).
+std::string format_double(double v);
+
 }  // namespace bc::obs
 
 #endif  // BUNDLECHARGE_OBS_TRACE_H_

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdio>
 #include <future>
 #include <optional>
 #include <thread>
@@ -43,34 +42,31 @@ HttpResponse json_response(int status, const std::string& reason,
 
 HttpResponse error_response(int status, const std::string& reason,
                             std::string_view error, std::string_view detail) {
-  std::string body = "{\n  \"error\": \"";
-  body += json_escape(error);
-  body += "\",\n  \"detail\": \"";
-  body += json_escape(detail);
-  body += "\"\n}\n";
+  std::string body = "{\n  \"error\": ";
+  body += obs::json_quote(error);
+  body += ",\n  \"detail\": ";
+  body += obs::json_quote(detail);
+  body += "\n}\n";
   return json_response(status, reason, std::move(body));
 }
 
 // Compact stop list for replan responses, which cannot go through
 // io::plan_to_json (evaluate_plan requires a full-deployment partition;
-// a replan covers only the remaining sensors). %.17g round-trips doubles.
+// a replan covers only the remaining sensors).
 std::string replan_plan_json(const tour::ChargingPlan& plan,
                              const net::MetricSpace* metric) {
-  char buffer[64];
-  const auto number = [&buffer](double value) {
-    std::snprintf(buffer, sizeof buffer, "%.17g", value);
-    return std::string(buffer);
-  };
-  std::string out = "{\n    \"algorithm\": \"";
-  out += json_escape(plan.algorithm);
-  out += "\",\n    \"depot\": [" + number(plan.depot.x) + ", " +
-         number(plan.depot.y) + "],\n    \"tour_length_m\": " +
-         number(tour::plan_tour_length(plan, metric)) + ",\n    \"stops\": [";
+  using obs::format_double;
+  std::string out = "{\n    \"algorithm\": ";
+  out += obs::json_quote(plan.algorithm);
+  out += ",\n    \"depot\": [" + format_double(plan.depot.x) + ", " +
+         format_double(plan.depot.y) + "],\n    \"tour_length_m\": " +
+         format_double(tour::plan_tour_length(plan, metric)) +
+         ",\n    \"stops\": [";
   for (std::size_t i = 0; i < plan.stops.size(); ++i) {
     const tour::Stop& stop = plan.stops[i];
     out += i == 0 ? "\n" : ",\n";
-    out += "      {\"position\": [" + number(stop.position.x) + ", " +
-           number(stop.position.y) + "], \"members\": [";
+    out += "      {\"position\": [" + format_double(stop.position.x) +
+           ", " + format_double(stop.position.y) + "], \"members\": [";
     for (std::size_t m = 0; m < stop.members.size(); ++m) {
       if (m != 0) out += ", ";
       out += std::to_string(stop.members[m]);
@@ -528,9 +524,9 @@ HttpResponse Server::solve_plan(const PlanRequest& request, bool replan,
 
   std::string body = "{\n  \"mode\": \"";
   body += replan ? "replan" : "plan";
-  body += "\",\n  \"algorithm\": \"";
-  body += json_escape(tour::to_string(algorithm));
-  body += "\",\n";
+  body += "\",\n  \"algorithm\": ";
+  body += obs::json_quote(tour::to_string(algorithm));
+  body += ",\n";
 
   if (replan) {
     obs::TraceSpan replan_span("service.replan");

@@ -76,9 +76,6 @@ std::string serialize_request(const std::string& method,
 support::Expected<HttpResponse> read_http_response(int fd,
                                                    const WireLimits& limits);
 
-// JSON string escaping for generated response bodies.
-std::string json_escape(std::string_view text);
-
 // --- Plan request schema ---------------------------------------------------
 
 // What arrives in a POST /v1/plan or /v1/replan body. The endpoint picks

@@ -2,7 +2,6 @@
 
 #include <cinttypes>
 #include <cstdio>
-#include <sstream>
 
 #include "obs/metrics.h"
 #include "support/atomic_file.h"
@@ -15,28 +14,11 @@ namespace {
 using support::Expected;
 using support::Fault;
 using support::FaultKind;
+using support::is_clean_token;
+using support::tokens_of;
 
 constexpr std::string_view kMagic = "bundlecharge-checkpoint";
 constexpr std::string_view kVersion = "v1";
-
-bool is_clean_token(const std::string& s) {
-  if (s.empty()) return false;
-  for (const char c : s) {
-    if (c == ' ' || c == '\t' || c == '\n' || c == '\r' || c == '\0') {
-      return false;
-    }
-  }
-  return true;
-}
-
-// Splits a line into whitespace-separated tokens.
-std::vector<std::string> tokens_of(const std::string& line) {
-  std::vector<std::string> out;
-  std::istringstream in(line);
-  std::string token;
-  while (in >> token) out.push_back(std::move(token));
-  return out;
-}
 
 Fault corrupt(const std::string& path, std::size_t line_no,
               const std::string& why) {

@@ -17,7 +17,8 @@ std::string crc_hex(std::string_view data) {
   return buf;
 }
 
-// Splits a line into whitespace-separated tokens.
+}  // namespace
+
 std::vector<std::string> tokens_of(const std::string& line) {
   std::vector<std::string> out;
   std::istringstream in(line);
@@ -35,8 +36,6 @@ bool is_clean_token(const std::string& s) {
   }
   return true;
 }
-
-}  // namespace
 
 Expected<AppendJournal> AppendJournal::open(std::string path,
                                             JournalFormat format,

@@ -49,6 +49,13 @@
 
 namespace bc::support {
 
+// Splits a line into whitespace-separated tokens.
+std::vector<std::string> tokens_of(const std::string& line);
+
+// True when `s` is non-empty and holds no space, tab, newline, carriage
+// return or NUL — safe as one field of a journal record line.
+bool is_clean_token(const std::string& s);
+
 // Consumer-specific formatting: the header line written on compaction,
 // the record tag ("entry", "cell"), and fault construction so each
 // consumer keeps its historical error messages.

@@ -126,6 +126,9 @@ std::vector<std::size_t> split_minimizing_makespan(const Splitter& s,
   std::vector<std::size_t> ends;
   support::ensure(splits_within(s, hi, k, best_ends),
                   "the whole tour must fit one charger at its own time");
+  // One route: no bisection step can succeed below the whole tour's time
+  // and there is no boundary to shift.
+  if (k == 1) return {0, m};
   for (int iter = 0; iter < 48 && hi - lo > 1e-6 * hi; ++iter) {
     const double mid = (lo + hi) / 2.0;
     if (splits_within(s, mid, k, ends)) {

@@ -2,6 +2,9 @@
 
 #include "bundle/exact_cover.h"
 
+#include <cstdint>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "bundle/candidates.h"
@@ -95,6 +98,61 @@ TEST(ExactCoverTest, NodeBudgetExhaustionReturnsNullopt) {
   options.max_nodes = 1;
   const auto candidates = enumerate_candidates(d, 15.0);
   EXPECT_FALSE(exact_cover(d, candidates, options).has_value());
+}
+
+std::vector<std::uint64_t> random_words(std::size_t words,
+                                        support::Rng& rng) {
+  std::vector<std::uint64_t> out(words);
+  for (auto& w : out) w = rng.next();
+  return out;
+}
+
+// Bit-by-bit count of a & b over `words` words.
+std::size_t common_bits(const std::vector<std::uint64_t>& a,
+                        const std::vector<std::uint64_t>& b) {
+  std::size_t total = 0;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    for (int bit = 0; bit < 64; ++bit) {
+      total += (a[i] >> bit) & (b[i] >> bit) & 1u;
+    }
+  }
+  return total;
+}
+
+TEST(BitsetKernelTest, SubtractAndCountAllowsAliasedDst) {
+  support::Rng rng(7);
+  for (std::size_t words = 0; words <= 37; ++words) {
+    const auto src = random_words(words, rng);
+    const auto mask = random_words(words, rng);
+    std::vector<std::uint64_t> want(words);
+    for (std::size_t i = 0; i < words; ++i) want[i] = src[i] & ~mask[i];
+
+    std::vector<std::uint64_t> dst(words, 0xfeed);
+    ASSERT_EQ(detail::subtract_and_count(dst.data(), src.data(), mask.data(),
+                                         words),
+              common_bits(src, mask))
+        << "words=" << words;
+    ASSERT_EQ(dst, want) << "words=" << words;
+
+    // Exact aliasing (dst == src) is part of the contract.
+    auto alias = src;
+    ASSERT_EQ(detail::subtract_and_count(alias.data(), alias.data(),
+                                         mask.data(), words),
+              common_bits(src, mask))
+        << "words=" << words;
+    ASSERT_EQ(alias, want) << "words=" << words;
+  }
+}
+
+TEST(BitsetKernelTest, IntersectCountCountsCommonBits) {
+  support::Rng rng(11);
+  for (std::size_t words = 0; words <= 37; ++words) {
+    const auto a = random_words(words, rng);
+    const auto b = random_words(words, rng);
+    ASSERT_EQ(detail::intersect_count(a.data(), b.data(), words),
+              common_bits(a, b))
+        << "words=" << words;
+  }
 }
 
 TEST(ExactCoverTest, RequiresCoveringCandidates) {

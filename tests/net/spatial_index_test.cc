@@ -4,6 +4,7 @@
 #include "net/spatial_index.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <utility>
 #include <vector>
 
@@ -41,6 +42,18 @@ TEST(SpatialIndexTest, FindsExactAndBoundaryMatches) {
   EXPECT_EQ(index.within({0.0, 0.0}, 2.9), (std::vector<SensorId>{0}));
   EXPECT_EQ(index.within({5.0, 5.0}, 1.0), (std::vector<SensorId>{}));
   EXPECT_THROW(index.within({0.0, 0.0}, -1.0), support::PreconditionError);
+
+  // Points exactly at distance r are inside, across cell sizes.
+  std::vector<Point2> line;
+  for (int i = 0; i < 16; ++i) line.push_back({static_cast<double>(i), 0.0});
+  for (const double cell : {1.0, 3.0, 16.0}) {
+    const SpatialIndex line_index(line, cell);
+    for (std::size_t r = 0; r < line.size(); ++r) {
+      ASSERT_EQ(line_index.within({0.0, 0.0}, static_cast<double>(r)).size(),
+                r + 1)
+          << "cell=" << cell << " r=" << r;
+    }
+  }
 }
 
 TEST(SpatialIndexTest, QueriesOutsideTheBoundsWork) {
@@ -94,6 +107,52 @@ TEST(SpatialIndexTest, ReusableOutputBufferIsCleared) {
   std::vector<SensorId> buffer{99, 98, 97};
   index.within({0.0, 0.0}, 0.5, buffer);
   EXPECT_EQ(buffer, (std::vector<SensorId>{0}));
+}
+
+TEST(FilterWithinTest, AppendsInScanOrderWithoutClearing) {
+  support::Rng rng(13);
+  for (const std::size_t count : {0u, 1u, 3u, 7u, 8u, 13u, 64u, 257u}) {
+    std::vector<double> xs(count);
+    std::vector<double> ys(count);
+    std::vector<std::uint32_t> ids(count);
+    for (std::size_t i = 0; i < count; ++i) {
+      xs[i] = rng.uniform(0.0, 100.0);
+      ys[i] = rng.uniform(0.0, 100.0);
+      ids[i] = static_cast<std::uint32_t>(1000 + i);
+    }
+    const double qx = rng.uniform(0.0, 100.0);
+    const double qy = rng.uniform(0.0, 100.0);
+    for (const double r2 : {0.0, 100.0, 900.0, 40000.0}) {
+      std::vector<std::uint32_t> want{42};
+      for (std::size_t i = 0; i < count; ++i) {
+        const double dx = xs[i] - qx;
+        const double dy = ys[i] - qy;
+        if (dx * dx + dy * dy <= r2) want.push_back(ids[i]);
+      }
+      std::vector<std::uint32_t> got{42};  // appended to, never cleared
+      filter_within(xs.data(), ys.data(), ids.data(), count, qx, qy, r2, got);
+      ASSERT_EQ(got, want) << "count=" << count << " r2=" << r2;
+    }
+  }
+}
+
+TEST(FilterWithinTest, BoundaryPointsFilterIdentically) {
+  // Points exactly on the radius: the <= compare keeps them.
+  const std::size_t count = 16;
+  std::vector<double> xs(count);
+  std::vector<double> ys(count, 0.0);
+  std::vector<std::uint32_t> ids(count);
+  for (std::size_t i = 0; i < count; ++i) {
+    xs[i] = static_cast<double>(i);  // distance i from the origin query
+    ids[i] = static_cast<std::uint32_t>(i);
+  }
+  for (std::size_t r = 0; r < count; ++r) {
+    const double r2 = static_cast<double>(r) * static_cast<double>(r);
+    std::vector<std::uint32_t> got;
+    filter_within(xs.data(), ys.data(), ids.data(), count, 0.0, 0.0, r2, got);
+    const std::vector<std::uint32_t> want(ids.begin(), ids.begin() + r + 1);
+    ASSERT_EQ(got, want) << "r=" << r;  // 0..r inclusive
+  }
 }
 
 // Brute-force k-nearest oracle with the documented (distance asc, id asc)

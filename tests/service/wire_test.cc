@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include "obs/trace.h"
 #include "service/wire.h"
 #include "support/socket.h"
 
@@ -189,7 +190,8 @@ TEST(WireFingerprintTest, CoversEveryResultAffectingField) {
 }
 
 TEST(WireJsonEscapeTest, EscapesControlAndQuoteBytes) {
-  EXPECT_EQ(service::json_escape("a\"b\\c\nd\x01"), "a\\\"b\\\\c\\nd\\u0001");
+  EXPECT_EQ(obs::json_quote("a\"b\\c\nd\x01"),
+            "\"a\\\"b\\\\c\\nd\\u0001\"");
 }
 
 }  // namespace
