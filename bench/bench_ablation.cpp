@@ -163,7 +163,8 @@ int main(int argc, char** argv) {
           bc::net::uniform_random_deployment(n, base.field, rng);
       bc::tour::PlannerConfig cfg = base.planner;
       cfg.bundle_radius = r;
-      const bc::tour::ChargingPlan opt = bc::tour::plan_bc_opt(d, cfg);
+      const bc::tour::ChargingPlan opt = bc::tour::plan_charging_tour(
+          d, bc::tour::Algorithm::kBcOpt, cfg);
       bc::tour::AnnealOptions anneal_options;
       anneal_options.iterations = 60000;
       const bc::tour::AnnealResult res = bc::tour::anneal_plan(

@@ -263,10 +263,7 @@ support::Expected<CoverSolution> exact_cover_anytime(
     const ExactCoverOptions& options, support::BudgetMeter* meter) {
   support::require(covers_all_sensors(deployment, candidates),
                    "candidates must cover every sensor");
-  support::BudgetMeter local_meter(options.budget);
-  const bool metered = meter != nullptr || !options.budget.unlimited();
-  if (meter == nullptr) meter = &local_meter;
-  if (meter->exhausted() || !meter->check()) {
+  if (meter != nullptr && (meter->exhausted() || !meter->check())) {
     return support::Fault{support::FaultKind::kBudgetExhausted,
                           "exact cover: " + support::describe_trip(*meter)};
   }
@@ -286,10 +283,10 @@ support::Expected<CoverSolution> exact_cover_anytime(
   Searcher state;
   state.index = &index;
   state.node_budget = options.max_nodes;
-  state.meter = metered ? meter : nullptr;
+  state.meter = meter;
   state.best_size = bound0;
 
-  if (n > 0 && options.max_nodes == 0 && !metered) {
+  if (n > 0 && options.max_nodes == 0 && meter == nullptr) {
     // Unlimited budget: fan the root branches out over the pool. Each
     // branch subtree is searched independently with the greedy bound, and
     // the per-branch winners are merged serially in branch order with the
@@ -357,7 +354,7 @@ support::Expected<CoverSolution> exact_cover_anytime(
   CoverSolution solution;
   solution.optimal = !state.aborted;
   solution.nodes_expanded = state.nodes;
-  solution.trip = meter->trip();
+  if (meter != nullptr) solution.trip = meter->trip();
   if (state.aborted && solution.trip == support::BudgetTrip::kNone) {
     solution.trip = support::BudgetTrip::kNodeCap;  // per-call max_nodes
   }

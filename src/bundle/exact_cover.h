@@ -31,14 +31,10 @@ namespace bc::bundle {
 
 struct ExactCoverOptions {
   // Per-call node cap: give up after this many branch-and-bound nodes
-  // (0 = unlimited). Kept distinct from `budget.node_cap`, which may be a
+  // (0 = unlimited). Kept distinct from the caller's meter, which may be a
   // *shared* allowance spanning several solver calls (the replan ladder);
   // whichever trips first wins.
   std::size_t max_nodes = 20'000'000;
-  // Deadline / shared node cap / cancellation. Any non-unlimited budget
-  // forces the serial search path so that node-cap cutoffs stay
-  // bit-identical across thread counts.
-  support::Budget budget{};
 };
 
 // A cover solution with its provenance. `bundles` is always a valid
@@ -53,9 +49,10 @@ struct CoverSolution {
   support::BudgetTrip trip = support::BudgetTrip::kNone;
 };
 
-// Anytime exact cover. When `meter` is non-null it is charged one unit per
-// search node and shared with the caller (ladder budgets); otherwise a
-// local meter is built from `options.budget`. The fault channel
+// Anytime exact cover. A non-null `meter` is charged one unit per search
+// node and shared with the caller (ladder budgets); it forces the serial
+// search path so that node-cap cutoffs stay bit-identical across thread
+// counts. A null meter runs unbudgeted. The fault channel
 // (kBudgetExhausted) fires only when the meter is already exhausted on
 // entry — once the search starts, a tripped budget returns the incumbent
 // with `optimal == false` instead.
@@ -65,8 +62,8 @@ support::Expected<CoverSolution> exact_cover_anytime(
     const ExactCoverOptions& options = ExactCoverOptions{},
     support::BudgetMeter* meter = nullptr);
 
-// Legacy strict form: the minimum cover, or nullopt iff any budget
-// tripped (the replan ladder keys its backoff off this).
+// Legacy strict form: the minimum cover, or nullopt iff `max_nodes`
+// tripped.
 std::optional<std::vector<Bundle>> exact_cover(
     const net::Deployment& deployment, std::span<const Bundle> candidates,
     const ExactCoverOptions& options = ExactCoverOptions{});

@@ -94,7 +94,7 @@ std::vector<Bundle> stitch_bundles(const net::Deployment& deployment,
 // ordered by ascending minimum member id, bit-identical at every
 // BC_THREADS. A single-tile grid degenerates to exactly
 // greedy_bundles(deployment, r) (the monolithic oracle the shard property
-// tests compare against). A non-null metered `meter` switches the shard
+// tests compare against). A non-null `meter` switches the shard
 // loop to the serial path (like the candidate scan) so budget cut points
 // stay thread-count-invariant; a trip degrades the remaining shards to
 // coarser covers, never to an invalid plan.

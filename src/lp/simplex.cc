@@ -287,10 +287,6 @@ Solution solve(const Problem& problem, const SimplexOptions& options,
     }
   }
 
-  support::BudgetMeter local_meter(options.budget);
-  const bool metered = meter != nullptr || !options.budget.unlimited();
-  if (meter == nullptr) meter = &local_meter;
-
   Tableau tableau(scaled, options.epsilon);
   std::size_t iterations = 0;
 
@@ -299,8 +295,7 @@ Solution solve(const Problem& problem, const SimplexOptions& options,
   for (std::size_t j = n + m; j < n + 2 * m; ++j) phase1_cost[j] = 1.0;
   const Status phase1 = tableau.minimize(
       phase1_cost, [](std::size_t) { return true; }, iteration_cap,
-      iterations, options.degenerate_pivot_switch,
-      metered ? meter : nullptr);
+      iterations, options.degenerate_pivot_switch, meter);
   if (phase1 != Status::kOptimal) {
     solution.status = phase1;
     return solution;
@@ -319,8 +314,7 @@ Solution solve(const Problem& problem, const SimplexOptions& options,
   const Status phase2 = tableau.minimize(
       phase2_cost,
       [&](std::size_t col) { return !tableau.is_artificial(col); },
-      iteration_cap, iterations, options.degenerate_pivot_switch,
-      metered ? meter : nullptr);
+      iteration_cap, iterations, options.degenerate_pivot_switch, meter);
   if (phase2 != Status::kOptimal) {
     solution.status = phase2;
     return solution;

@@ -18,8 +18,8 @@
 // degenerate pivots (the classic anti-cycling switch): Dantzig converges
 // in fewer pivots on healthy instances but can cycle on degenerate ones,
 // Bland cannot cycle, so the combination terminates on every input. A
-// pivot-iteration cap and an optional support::Budget bound the work
-// regardless; a tripped budget reports kBudgetExhausted instead of
+// pivot-iteration cap and an optional support::BudgetMeter bound the work
+// regardless; a tripped meter reports kBudgetExhausted instead of
 // looping.
 
 #ifndef BUNDLECHARGE_LP_SIMPLEX_H_
@@ -74,14 +74,11 @@ struct SimplexOptions {
   // Consecutive degenerate pivots tolerated under Dantzig pricing before
   // switching to Bland's rule for the rest of the phase.
   std::size_t degenerate_pivot_switch = 12;
-  // Deadline / node cap / cancellation; one unit is charged per pivot
-  // iteration. A trip yields Status::kBudgetExhausted.
-  support::Budget budget{};
 };
 
 // Solves the problem. A non-null `meter` shares a caller-owned budget
-// (charged one unit per pivot); otherwise a local meter is built from
-// `options.budget`. Preconditions: consistent dimensions; finite
+// (charged one unit per pivot; a trip yields Status::kBudgetExhausted); a
+// null meter runs unbudgeted. Preconditions: consistent dimensions; finite
 // coefficients.
 Solution solve(const Problem& problem,
                const SimplexOptions& options = SimplexOptions{},

@@ -17,14 +17,17 @@
 #include <atomic>
 #include <chrono>
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
+#include <iostream>
+#include <limits>
 #include <optional>
 #include <string>
 #include <thread>
 
 #include "obs/trace.h"
 #include "service/server.h"
+#include "support/cli.h"
 #include "support/socket.h"
 
 namespace {
@@ -33,125 +36,100 @@ std::atomic<bool> g_stop_requested{false};
 
 void handle_stop_signal(int) { g_stop_requested.store(true); }
 
-bool parse_flag_value(int argc, char** argv, int* i, const char* name,
-                      std::string* out) {
-  if (std::string(argv[*i]) != name) return false;
-  if (*i + 1 >= argc) {
-    std::fprintf(stderr, "bundlecharged: %s requires a value\n", name);
-    std::exit(2);
-  }
-  *out = argv[++*i];
-  return true;
-}
-
-long parse_long_or_die(const std::string& text, const char* name) {
-  char* end = nullptr;
-  const long value = std::strtol(text.c_str(), &end, 10);
-  if (end == text.c_str() || *end != '\0' || value < 0) {
-    std::fprintf(stderr, "bundlecharged: bad value for %s: '%s'\n", name,
-                 text.c_str());
-    std::exit(2);
-  }
-  return value;
-}
-
-void print_usage() {
-  std::fprintf(
-      stderr,
-      "usage: bundlecharged [--port N] [--workers N] [--queue-capacity N]\n"
-      "                     [--cache PATH] [--cache-max-entries N]\n"
-      "                     [--default-deadline-ms N] [--io-timeout-ms N]\n"
-      "                     [--watchdog-grace N] [--no-watchdog]\n"
-      "                     [--no-incremental] [--no-batching]\n"
-      "                     [--max-diff N] [--fallback-ratio-pct N]\n"
-      "                     [--batch-max-waiters N] [--enable-test-hooks]\n"
-      "                     [--trace-out PATH] [--metric-graph PATH]\n");
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   bc::service::ServerOptions options;
-  std::string trace_path;
-  for (int i = 1; i < argc; ++i) {
-    std::string value;
-    if (parse_flag_value(argc, argv, &i, "--port", &value)) {
-      const long port = parse_long_or_die(value, "--port");
-      if (port > 65535) {
-        std::fprintf(stderr, "bundlecharged: --port out of range\n");
-        return 2;
-      }
-      options.port = static_cast<std::uint16_t>(port);
-    } else if (parse_flag_value(argc, argv, &i, "--workers", &value)) {
-      options.workers =
-          static_cast<std::size_t>(parse_long_or_die(value, "--workers"));
-    } else if (parse_flag_value(argc, argv, &i, "--queue-capacity", &value)) {
-      options.queue_capacity = static_cast<std::size_t>(
-          parse_long_or_die(value, "--queue-capacity"));
-    } else if (parse_flag_value(argc, argv, &i, "--cache", &value)) {
-      options.cache_path = value;
-    } else if (parse_flag_value(argc, argv, &i, "--cache-max-entries",
-                                &value)) {
-      options.cache_limits.max_entries = static_cast<std::size_t>(
-          parse_long_or_die(value, "--cache-max-entries"));
-    } else if (parse_flag_value(argc, argv, &i, "--watchdog-grace", &value)) {
-      const long grace = parse_long_or_die(value, "--watchdog-grace");
-      if (grace == 0) {
-        std::fprintf(stderr,
-                     "bundlecharged: --watchdog-grace must be positive "
-                     "(use --no-watchdog to disable)\n");
-        return 2;
-      }
-      options.watchdog_grace = static_cast<double>(grace);
-    } else if (std::string(argv[i]) == "--no-watchdog") {
-      options.enable_watchdog = false;
-    } else if (parse_flag_value(argc, argv, &i, "--default-deadline-ms",
-                                &value)) {
-      options.default_deadline_s =
-          static_cast<double>(
-              parse_long_or_die(value, "--default-deadline-ms")) /
-          1000.0;
-    } else if (parse_flag_value(argc, argv, &i, "--io-timeout-ms", &value)) {
-      options.io_timeout_s =
-          static_cast<double>(parse_long_or_die(value, "--io-timeout-ms")) /
-          1000.0;
-    } else if (std::string(argv[i]) == "--no-incremental") {
-      options.enable_incremental = false;
-    } else if (std::string(argv[i]) == "--no-batching") {
-      options.enable_batching = false;
-    } else if (parse_flag_value(argc, argv, &i, "--max-diff", &value)) {
-      options.incremental.max_diff_sensors =
-          static_cast<std::size_t>(parse_long_or_die(value, "--max-diff"));
-    } else if (parse_flag_value(argc, argv, &i, "--fallback-ratio-pct",
-                                &value)) {
-      // Integer percent (125 = 1.25x) keeps the flag grammar integral.
-      const long pct = parse_long_or_die(value, "--fallback-ratio-pct");
-      if (pct < 100) {
-        std::fprintf(stderr,
-                     "bundlecharged: --fallback-ratio-pct must be >= 100\n");
-        return 2;
-      }
-      options.incremental.fallback_ratio = static_cast<double>(pct) / 100.0;
-    } else if (parse_flag_value(argc, argv, &i, "--batch-max-waiters",
-                                &value)) {
-      options.batch_max_waiters = static_cast<std::size_t>(
-          parse_long_or_die(value, "--batch-max-waiters"));
-    } else if (std::string(argv[i]) == "--enable-test-hooks") {
-      options.enable_test_hooks = true;
-    } else if (parse_flag_value(argc, argv, &i, "--trace-out", &value)) {
-      trace_path = value;
-    } else if (parse_flag_value(argc, argv, &i, "--metric-graph", &value)) {
-      options.metric_graph_path = value;
-    } else if (std::string(argv[i]) == "--help" ||
-               std::string(argv[i]) == "-h") {
-      print_usage();
-      return 0;
-    } else {
-      std::fprintf(stderr, "bundlecharged: unknown flag '%s'\n", argv[i]);
-      print_usage();
-      return 2;
+  bc::support::CliFlags flags(
+      "bundlecharged — the planning daemon (DESIGN.md §11). Prints "
+      "\"bundlecharged listening on 127.0.0.1:<port>\" once serving and "
+      "runs until SIGINT/SIGTERM.");
+  const auto count = [](std::size_t value) {
+    return static_cast<std::int64_t>(value);
+  };
+  flags.define_int("port", options.port, "TCP port (0 = ephemeral)");
+  flags.define_int("workers", count(options.workers),
+                   "solver threads (= max concurrent solves)");
+  flags.define_int("queue-capacity", count(options.queue_capacity),
+                   "admission bound on queued requests");
+  flags.define_string("cache", options.cache_path,
+                      "plan-cache journal path (empty = in-memory only)");
+  flags.define_int("cache-max-entries",
+                   count(options.cache_limits.max_entries),
+                   "max cached plans (0 = unbounded)");
+  flags.define_int(
+      "default-deadline-ms",
+      static_cast<std::int64_t>(options.default_deadline_s * 1000.0),
+      "deadline for requests that send none (0 = none)");
+  flags.define_int("io-timeout-ms",
+                   static_cast<std::int64_t>(options.io_timeout_s * 1000.0),
+                   "per-socket read/write timeout");
+  flags.define_int("watchdog-grace",
+                   static_cast<std::int64_t>(options.watchdog_grace),
+                   "kill a solve past this many times its deadline (> 0)");
+  flags.define_bool("no-watchdog", false, "disable the hung-solve watchdog");
+  flags.define_bool("no-incremental", false,
+                    "cold-solve every near-duplicate request");
+  flags.define_bool("no-batching", false,
+                    "solve identical concurrent requests separately");
+  flags.define_int("max-diff", count(options.incremental.max_diff_sensors),
+                   "largest sensor diff the incremental engine patches");
+  // Integer percent (125 = 1.25x) keeps the flag grammar integral.
+  flags.define_int(
+      "fallback-ratio-pct",
+      static_cast<std::int64_t>(options.incremental.fallback_ratio * 100.0),
+      "discard a patched plan above this percent of its base (>= 100)");
+  flags.define_int("batch-max-waiters", count(options.batch_max_waiters),
+                   "requests that may wait on one in-flight solve");
+  flags.define_bool("enable-test-hooks", false,
+                    "accept the stall/fault test hooks in requests");
+  flags.define_string("trace-out", "",
+                      "write a trace journal here on shutdown (empty = off)");
+  flags.define_string("metric-graph", options.metric_graph_path,
+                      "waypoint graph CSV for a graph-world metric");
+  if (!flags.parse(argc, argv, std::cerr)) return 2;
+  if (flags.help_requested()) return 0;
+
+  // Every integer flag is a count or a duration, so negatives are
+  // rejected along with the per-flag bounds.
+  bool in_range = true;
+  const auto ranged = [&](const std::string& name, std::int64_t min,
+                          std::int64_t max =
+                              std::numeric_limits<std::int64_t>::max()) {
+    const std::int64_t value = flags.get_int(name);
+    if (value < min || value > max) {
+      std::cerr << "bundlecharged: --" << name << " must be in [" << min
+                << ", " << max << "], got " << value << "\n";
+      in_range = false;
     }
-  }
+    return value;
+  };
+  options.port = static_cast<std::uint16_t>(ranged("port", 0, 65535));
+  options.workers = static_cast<std::size_t>(ranged("workers", 0));
+  options.queue_capacity =
+      static_cast<std::size_t>(ranged("queue-capacity", 0));
+  options.cache_path = flags.get_string("cache");
+  options.cache_limits.max_entries =
+      static_cast<std::size_t>(ranged("cache-max-entries", 0));
+  options.default_deadline_s =
+      static_cast<double>(ranged("default-deadline-ms", 0)) / 1000.0;
+  options.io_timeout_s =
+      static_cast<double>(ranged("io-timeout-ms", 0)) / 1000.0;
+  // Zero would kill every deadlined solve; --no-watchdog disables it.
+  options.watchdog_grace = static_cast<double>(ranged("watchdog-grace", 1));
+  options.enable_watchdog = !flags.get_bool("no-watchdog");
+  options.enable_incremental = !flags.get_bool("no-incremental");
+  options.enable_batching = !flags.get_bool("no-batching");
+  options.incremental.max_diff_sensors =
+      static_cast<std::size_t>(ranged("max-diff", 0));
+  options.incremental.fallback_ratio =
+      static_cast<double>(ranged("fallback-ratio-pct", 100)) / 100.0;
+  options.batch_max_waiters =
+      static_cast<std::size_t>(ranged("batch-max-waiters", 0));
+  options.enable_test_hooks = flags.get_bool("enable-test-hooks");
+  options.metric_graph_path = flags.get_string("metric-graph");
+  if (!in_range) return 2;
+  const std::string trace_path = flags.get_string("trace-out");
 
   bc::support::ignore_sigpipe();
 

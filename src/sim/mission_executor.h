@@ -51,7 +51,8 @@ struct ExecutorConfig {
   // Online replans allowed per mission (only consulted by kReplan policies).
   std::size_t max_replans = 3;
   tour::ReplanOptions replan{};
-  // Planner knobs used when a replan fires.
+  // Planner knobs used when a replan fires; `planner.budget` bounds each
+  // replan.
   tour::PlannerConfig planner{};
   charging::ChargingModel charging =
       charging::ChargingModel::icdcs2019_simulation();

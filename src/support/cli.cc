@@ -130,7 +130,11 @@ bool CliFlags::parse(int argc, const char* const* argv, std::ostream& err) {
       continue;
     }
     auto it = flags_.find(arg);
-    if (it != flags_.end() && it->second.kind == Kind::kBool) {
+    if (it == flags_.end()) {
+      err << "unknown flag --" << arg << "\n";
+      return false;
+    }
+    if (it->second.kind == Kind::kBool) {
       it->second.value = "true";
       continue;
     }

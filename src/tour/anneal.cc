@@ -107,14 +107,10 @@ AnnealResult anneal_plan(const net::Deployment& deployment,
     return rng.uniform() < std::exp(-delta / temperature);
   };
 
-  support::BudgetMeter local_meter(options.budget);
-  const bool metered = meter != nullptr || !options.budget.unlimited();
-  if (meter == nullptr) meter = &local_meter;
-
   for (std::size_t iter = 0; iter < options.iterations; ++iter) {
     // Anytime: `result` always holds the best plan seen, so a budget trip
     // ends the walk and returns it.
-    if (metered && !meter->charge()) break;
+    if (meter != nullptr && !meter->charge()) break;
     if (iter % cool_every == cool_every - 1) {
       temperature *= options.cooling;
       jitter = std::max(0.5, jitter * options.cooling);

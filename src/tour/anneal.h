@@ -38,10 +38,6 @@ struct AnnealOptions {
   // Position-jitter scale (metres); annealed together with temperature.
   double jitter_m = 15.0;
   std::uint64_t seed = 17;
-  // Deadline / node cap / cancellation. The annealer is intrinsically
-  // anytime — the best plan so far is returned when the budget trips. One
-  // budget unit is charged per annealing iteration.
-  support::Budget budget{};
   // Movement metric for the energy objective (null = Euclidean). Move
   // *proposals* (nearest-stop merge, jitter) stay Euclidean heuristics;
   // acceptance is always judged on this metric's energy.
@@ -63,10 +59,11 @@ double plan_energy_j(const net::Deployment& deployment,
                      const charging::MovementModel& movement,
                      const net::MetricSpace* metric = nullptr);
 
-// Runs the annealer from `initial`. The result's energy never exceeds the
-// input's — including when `options.budget` (or a caller-supplied shared
-// `meter`) trips mid-anneal. Precondition: `initial` partitions the
-// deployment's sensors.
+// Runs the annealer from `initial`. The annealer is intrinsically anytime:
+// a non-null `meter` is charged one unit per iteration, and when it trips
+// the best plan so far is returned, so the result's energy never exceeds
+// the input's. A null meter runs every iteration. Precondition: `initial`
+// partitions the deployment's sensors.
 AnnealResult anneal_plan(const net::Deployment& deployment,
                          const ChargingPlan& initial,
                          const charging::ChargingModel& charging,

@@ -52,11 +52,7 @@ ChargingPlan plan_bc_opt(const net::Deployment& deployment,
                          support::BudgetMeter* meter) {
   support::require(config.opt.radius_steps >= 1,
                    "BC-OPT needs at least one displacement step");
-  support::BudgetMeter local_meter(config.budget);
-  const bool metered = meter != nullptr || !config.budget.unlimited();
-  if (meter == nullptr) meter = &local_meter;
-
-  ChargingPlan plan = plan_bc(deployment, config, metered ? meter : nullptr);
+  ChargingPlan plan = plan_bc(deployment, config, meter);
   plan.algorithm = "BC-OPT";
   if (plan.stops.empty()) return plan;
 
@@ -105,7 +101,7 @@ ChargingPlan plan_bc_opt(const net::Deployment& deployment,
     for (std::size_t i = 0; i < n; ++i) {
       // Anytime: every accepted displacement leaves a valid plan, so a
       // tripped budget just stops the Algorithm-3 sweep where it stands.
-      if (metered && !meter->charge()) {
+      if (meter != nullptr && !meter->charge()) {
         tripped = true;
         break;
       }

@@ -14,13 +14,9 @@ ChargingPlan plan_bc(const net::Deployment& deployment,
                      support::BudgetMeter* meter) {
   support::require(config.bundle_radius > 0.0,
                    "BC needs a positive bundle radius");
-  support::BudgetMeter local_meter(config.budget);
-  const bool metered = meter != nullptr || !config.budget.unlimited();
-  if (meter == nullptr) meter = &local_meter;
-
   const std::vector<bundle::Bundle> bundles =
       bundle::generate_bundles(deployment, config.bundle_radius,
-                               config.generator, metered ? meter : nullptr);
+                               config.generator, meter);
 
   ChargingPlan plan;
   plan.algorithm = "BC";
@@ -30,7 +26,7 @@ ChargingPlan plan_bc(const net::Deployment& deployment,
     plan.stops.push_back(Stop{b.anchor, b.members});
   }
   order_stops_by_tsp(plan.depot, plan.stops, tsp_options_with_metric(config),
-                     metered ? meter : nullptr);
+                     meter);
   return plan;
 }
 

@@ -157,12 +157,8 @@ ChargingPlan plan_css(const net::Deployment& deployment,
   support::require(config.bundle_radius > 0.0,
                    "CSS needs a positive range radius");
   const double r = config.bundle_radius;
-  support::BudgetMeter local_meter(config.budget);
-  const bool metered = meter != nullptr || !config.budget.unlimited();
-  if (meter == nullptr) meter = &local_meter;
-
   // Start from the SC tour (TSP over the sensors themselves).
-  ChargingPlan plan = plan_sc(deployment, config, metered ? meter : nullptr);
+  ChargingPlan plan = plan_sc(deployment, config, meter);
   plan.algorithm = "CSS";
 
   // Combine consecutive sensors while they share a radius-r disk.
@@ -194,7 +190,7 @@ ChargingPlan plan_css(const net::Deployment& deployment,
   // Anytime: the plan is a valid partition after every pass, so a tripped
   // budget simply stops refining. One unit is charged per stop refined.
   for (std::size_t pass = 0; pass < 8; ++pass) {
-    if (metered && !meter->charge(plan.stops.size())) break;
+    if (meter != nullptr && !meter->charge(plan.stops.size())) break;
     const bool moved = substitute_pass(deployment, plan.stops, r, plan.depot,
                                        config.metric.get());
     const bool merged = merge_adjacent_pass(deployment, plan.stops, r);

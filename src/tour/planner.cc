@@ -1,5 +1,7 @@
 #include "tour/planner.h"
 
+#include <optional>
+
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "support/require.h"
@@ -28,6 +30,13 @@ ChargingPlan plan_charging_tour(const net::Deployment& deployment,
                                 Algorithm algorithm,
                                 const PlannerConfig& config,
                                 support::BudgetMeter* meter) {
+  // One of the two places a planner budget becomes a meter (replan_tour
+  // is the other). An unlimited budget leaves `meter` null, which keeps
+  // every stage on its unmetered path.
+  std::optional<support::BudgetMeter> local;
+  if (meter == nullptr && !config.budget.unlimited()) {
+    meter = &local.emplace(config.budget);
+  }
   obs::TraceSpan span("plan");
   span.attr("algorithm", to_string(algorithm))
       .attr("n", static_cast<std::uint64_t>(deployment.size()));

@@ -89,7 +89,9 @@ struct PlannerConfig {
   // the planner touches (bundle generation, TSP ordering, refinement
   // passes). Every planner is *anytime* under a budget: a trip stops the
   // current refinement and returns the best valid plan so far — the plan
-  // is still a partition of the sensors, just less optimised.
+  // is still a partition of the sensors, just less optimised. This is the
+  // only Budget a solver reads: plan_charging_tour and replan_tour turn it
+  // into the BudgetMeter that every stage below them is handed.
   support::Budget budget{};
 };
 
@@ -107,14 +109,18 @@ inline tsp::SolverOptions tsp_options_with_metric(
 
 // Plans a charging tour with the requested algorithm. The returned plan is
 // always a partition of the deployment's sensors over its stops — even
-// when `config.budget` (or a caller-supplied `meter`) trips mid-plan.
-// Preconditions: bundle_radius > 0 for CSS/BC/BC-OPT.
+// when `config.budget` (or a caller-supplied `meter`) trips mid-plan. A
+// non-null `meter` is charged instead of `config.budget` (a budget shared
+// with the caller); a null one is built from `config.budget` unless that
+// is unlimited. Preconditions: bundle_radius > 0 for CSS/BC/BC-OPT.
 ChargingPlan plan_charging_tour(const net::Deployment& deployment,
                                 Algorithm algorithm,
                                 const PlannerConfig& config,
                                 support::BudgetMeter* meter = nullptr);
 
 // Individual planners (same contracts); exposed for tests and ablations.
+// They ignore `config.budget`: only `meter` bounds them, and a null meter
+// runs unbudgeted. Go through plan_charging_tour to honour a budget.
 ChargingPlan plan_sc(const net::Deployment& deployment,
                      const PlannerConfig& config,
                      support::BudgetMeter* meter = nullptr);

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <optional>
 #include <string>
 #include <utility>
 
@@ -97,9 +98,12 @@ Expected<ChargingPlan> replan_tour(const net::Deployment& deployment,
       options.budget_backoff > 0.0 && options.budget_backoff < 1.0,
       "budget backoff must shrink the budget");
 
-  support::BudgetMeter local_meter(options.budget);
-  const bool metered = meter != nullptr || !options.budget.unlimited();
-  if (meter == nullptr) meter = &local_meter;
+  // Like plan_charging_tour, the planner budget becomes the meter that
+  // spans the whole ladder; an unlimited one leaves the rungs unmetered.
+  std::optional<support::BudgetMeter> local;
+  if (meter == nullptr && !config.budget.unlimited()) {
+    meter = &local.emplace(config.budget);
+  }
 
   obs::TraceSpan span("replan");
   span.attr("remaining", static_cast<std::uint64_t>(request.remaining.size()));
@@ -153,7 +157,8 @@ Expected<ChargingPlan> replan_tour(const net::Deployment& deployment,
     // would burn a full pass of doomed rungs before reporting the same
     // kBudgetExhausted (the meter passes check(), which only polls the
     // clock and cancellation, so the depletion must be tested explicitly).
-    if (metered && (meter->node_budget_depleted() || !meter->check())) {
+    if (meter != nullptr &&
+        (meter->node_budget_depleted() || !meter->check())) {
       budget_blocked = true;
       attempts_log += "(ladder budget ";
       attempts_log += meter->exhausted()
@@ -167,12 +172,11 @@ Expected<ChargingPlan> replan_tour(const net::Deployment& deployment,
     if (rung.kind == bundle::GeneratorKind::kExact) {
       bundle::ExactCoverOptions exact = config.generator.exact;
       exact.max_nodes = rung.node_budget;
-      const std::vector<bundle::Bundle> candidates = bundle::
-          enumerate_candidates(remaining, config.bundle_radius,
-                               bundle::CandidateOptions{},
-                               metered ? meter : nullptr);
-      auto found = bundle::exact_cover_anytime(remaining, candidates, exact,
-                                               metered ? meter : nullptr);
+      const std::vector<bundle::Bundle> candidates =
+          bundle::enumerate_candidates(remaining, config.bundle_radius,
+                                       bundle::CandidateOptions{}, meter);
+      auto found =
+          bundle::exact_cover_anytime(remaining, candidates, exact, meter);
       if (!found.has_value() || !found.value().optimal) {
         attempts_log += std::string(bundle::to_string(rung.kind)) + "(budget " +
                         std::to_string(rung.node_budget) + ") ";
@@ -183,7 +187,7 @@ Expected<ChargingPlan> replan_tour(const net::Deployment& deployment,
       bundle::GeneratorOptions generator = config.generator;
       generator.kind = rung.kind;
       bundles = bundle::generate_bundles(remaining, config.bundle_radius,
-                                         generator, metered ? meter : nullptr);
+                                         generator, meter);
     }
     if (!bundle::is_partition(remaining, bundles)) {
       attempts_log += std::string(bundle::to_string(rung.kind)) + "(gap) ";
@@ -210,7 +214,7 @@ Expected<ChargingPlan> replan_tour(const net::Deployment& deployment,
   }
 
   flush(false, "none");
-  if (metered && (budget_blocked || meter->exhausted())) {
+  if (meter != nullptr && (budget_blocked || meter->exhausted())) {
     static const obs::Counter trips("replan.budget_trips");
     trips.add();
     const std::string cause = meter->exhausted()

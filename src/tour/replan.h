@@ -40,11 +40,6 @@ struct ReplanOptions {
   // instead of sliding down the greedy -> grid -> sweep ladder (used by
   // tests to exercise the exhaustion path; production keeps the ladder).
   bool fallback_to_heuristics = true;
-  // Deadline / shared node cap / cancellation spanning the *whole* ladder
-  // (all rungs draw from one meter). When the budget trips before any rung
-  // produces a covering partition, replan_tour returns a
-  // kBudgetExhausted fault — it never keeps computing past its deadline.
-  support::Budget budget{};
 };
 
 struct ReplanRequest {
@@ -65,6 +60,10 @@ struct ReplanRequest {
 // original deployment. An empty `remaining` yields an empty plan.
 // The returned plan's depot is the deployment depot; the executor accounts
 // the approach leg from `current_position` to the first stop itself.
+// `config.budget` (or a caller-supplied `meter`, which takes precedence)
+// spans the *whole* ladder: all rungs draw from one meter. When it trips
+// before any rung produces a covering partition, replan_tour returns a
+// kBudgetExhausted fault — it never keeps computing past its deadline.
 support::Expected<ChargingPlan> replan_tour(
     const net::Deployment& deployment, const ReplanRequest& request,
     const PlannerConfig& config, const ReplanOptions& options = {},

@@ -10,10 +10,6 @@ namespace bc::tour {
 ChargingPlan plan_sc(const net::Deployment& deployment,
                      const PlannerConfig& config,
                      support::BudgetMeter* meter) {
-  support::BudgetMeter local_meter(config.budget);
-  const bool metered = meter != nullptr || !config.budget.unlimited();
-  if (meter == nullptr) meter = &local_meter;
-
   ChargingPlan plan;
   plan.algorithm = "SC";
   plan.depot = deployment.depot();
@@ -22,7 +18,7 @@ ChargingPlan plan_sc(const net::Deployment& deployment,
     plan.stops.push_back(Stop{s.position, {s.id}});
   }
   order_stops_by_tsp(plan.depot, plan.stops, tsp_options_with_metric(config),
-                     metered ? meter : nullptr);
+                     meter);
   return plan;
 }
 

@@ -17,13 +17,9 @@ ChargingPlan plan_bc_sharded(const net::Deployment& deployment,
                              support::BudgetMeter* meter) {
   support::require(config.bundle_radius > 0.0,
                    "BC-SHARD needs a positive bundle radius");
-  support::BudgetMeter local_meter(config.budget);
-  const bool metered = meter != nullptr || !config.budget.unlimited();
-  if (meter == nullptr) meter = &local_meter;
-
   const std::vector<bundle::Bundle> bundles =
       bundle::sharded_bundles(deployment, config.bundle_radius, config.shard,
-                              metered ? meter : nullptr);
+                              meter);
 
   ChargingPlan plan;
   plan.algorithm = "BC-SHARD";
@@ -34,10 +30,10 @@ ChargingPlan plan_bc_sharded(const net::Deployment& deployment,
   }
   if (plan.stops.size() <= config.shard_tsp_cutover) {
     order_stops_by_tsp(plan.depot, plan.stops, tsp_options_with_metric(config),
-                       metered ? meter : nullptr);
+                       meter);
   } else {
     order_stops_snake(plan.depot, plan.stops, tsp_options_with_metric(config),
-                      metered ? meter : nullptr);
+                      meter);
   }
   return plan;
 }

@@ -52,11 +52,7 @@ ChargingPlan plan_tspn(const net::Deployment& deployment,
                        support::BudgetMeter* meter) {
   support::require(config.bundle_radius > 0.0,
                    "TSPN needs a positive neighbourhood radius");
-  support::BudgetMeter local_meter(config.budget);
-  const bool metered = meter != nullptr || !config.budget.unlimited();
-  if (meter == nullptr) meter = &local_meter;
-
-  ChargingPlan plan = plan_bc(deployment, config, metered ? meter : nullptr);
+  ChargingPlan plan = plan_bc(deployment, config, meter);
   plan.algorithm = "TSPN";
   if (plan.stops.empty()) return plan;
 
@@ -70,7 +66,7 @@ ChargingPlan plan_tspn(const net::Deployment& deployment,
   const std::size_t n = plan.stops.size();
   for (std::size_t pass = 0; pass < 8; ++pass) {
     // Anytime: stops are valid boundary points after every accepted move.
-    if (metered && !meter->charge(n)) break;
+    if (meter != nullptr && !meter->charge(n)) break;
     bool moved = false;
     for (std::size_t i = 0; i < n; ++i) {
       const Point2 prev = i == 0 ? plan.depot : plan.stops[i - 1].position;

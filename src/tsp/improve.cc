@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "net/spatial_index.h"
@@ -340,16 +341,55 @@ class NeighborSearch {
 // the paper's deployment scales (fields up to ~1 km across).
 constexpr double kGainBounds[] = {1e-3, 1e-2, 1e-1, 1.0, 10.0, 100.0};
 
-}  // namespace
+// The two move families differ only in their per-city move, their
+// full-scan certification, the smallest tour that admits a move, and the
+// names they report under; one driver runs both.
+struct TwoOptMoves {
+  static constexpr const char* kName = "tsp.two_opt";
+  static constexpr const char* kInvalidTour = "two_opt needs a valid tour";
+  static constexpr std::size_t kMinSize = 4;
+  static constexpr auto kImproveCity = &NeighborSearch::improve_city_two_opt;
+  static constexpr auto kCertify = &NeighborSearch::certify_two_opt;
+};
 
-double two_opt(std::span<const Point2> points, Tour& order,
-               const ImproveOptions& options, support::BudgetMeter* meter) {
+struct OrOptMoves {
+  static constexpr const char* kName = "tsp.or_opt";
+  static constexpr const char* kInvalidTour = "or_opt needs a valid tour";
+  static constexpr std::size_t kMinSize = 5;
+  static constexpr auto kImproveCity = &NeighborSearch::improve_city_or_opt;
+  static constexpr auto kCertify = &NeighborSearch::certify_or_opt;
+};
+
+// One metric per local-search counter, named `<family>.<counter>`.
+struct SearchMetrics {
+  explicit SearchMetrics(const std::string& name)
+      : calls(name + ".calls"),
+        moves(name + ".moves"),
+        resets(name + ".dont_look_resets"),
+        sweeps(name + ".certify_sweeps"),
+        passes(name + ".passes"),
+        gains(name + ".move_gain", kGainBounds) {}
+  obs::Counter calls;
+  obs::Counter moves;
+  obs::Counter resets;
+  obs::Counter sweeps;
+  obs::Counter passes;
+  obs::Histogram gains;
+};
+
+// Don't-look-bit passes over every city until the restricted search
+// converges, then a certification sweep against the full neighbourhood;
+// a move found there wakes its endpoints and the passes continue.
+template <typename Moves>
+double local_search(std::span<const Point2> points, Tour& order,
+                    const ImproveOptions& options,
+                    support::BudgetMeter* meter) {
   support::require(is_valid_tour(order, order.size()) &&
                        order.size() <= points.size(),
-                   "two_opt needs a valid tour");
+                   Moves::kInvalidTour);
   const std::size_t n = order.size();
-  if (n < 4) return 0.0;
-  obs::TraceSpan span("tsp.two_opt");
+  if (n < Moves::kMinSize) return 0.0;
+  obs::TraceSpan span(Moves::kName);
   span.attr("n", static_cast<std::int64_t>(n));
   NeighborSearch search(points, order, options);
   std::uint64_t passes = 0;
@@ -360,34 +400,27 @@ double two_opt(std::span<const Point2> points, Tour& order,
     bool improved = false;
     for (std::uint32_t a = 0; a < n; ++a) {
       if (search.parked(a)) continue;
-      if (search.improve_city_two_opt(a)) {
+      if ((search.*Moves::kImproveCity)(a)) {
         improved = true;
       } else {
         search.park(a);
       }
     }
-    // Restricted search done: certify against the full neighbourhood. A
-    // move found here wakes its endpoints and the passes continue.
     if (!improved) {
       if (!options.certify) break;
       ++certify_sweeps;
-      if (!search.certify_two_opt()) break;
+      if (!(search.*Moves::kCertify)()) break;
     }
   }
   search.write_back(order);
   {
-    static const obs::Counter calls("tsp.two_opt.calls");
-    static const obs::Counter moves("tsp.two_opt.moves");
-    static const obs::Counter resets("tsp.two_opt.dont_look_resets");
-    static const obs::Counter sweeps("tsp.two_opt.certify_sweeps");
-    static const obs::Counter pass_count("tsp.two_opt.passes");
-    static const obs::Histogram gains("tsp.two_opt.move_gain", kGainBounds);
-    calls.add();
-    moves.add(search.moves());
-    resets.add(search.dont_look_resets());
-    sweeps.add(certify_sweeps);
-    pass_count.add(passes);
-    for (const double gain : search.move_gains()) gains.observe(gain);
+    static const SearchMetrics metrics(Moves::kName);
+    metrics.calls.add();
+    metrics.moves.add(search.moves());
+    metrics.resets.add(search.dont_look_resets());
+    metrics.sweeps.add(certify_sweeps);
+    metrics.passes.add(passes);
+    for (const double gain : search.move_gains()) metrics.gains.observe(gain);
   }
   span.attr("passes", passes)
       .attr("moves", search.moves())
@@ -396,56 +429,16 @@ double two_opt(std::span<const Point2> points, Tour& order,
   return search.gain_sum();
 }
 
+}  // namespace
+
+double two_opt(std::span<const Point2> points, Tour& order,
+               const ImproveOptions& options, support::BudgetMeter* meter) {
+  return local_search<TwoOptMoves>(points, order, options, meter);
+}
+
 double or_opt(std::span<const Point2> points, Tour& order,
               const ImproveOptions& options, support::BudgetMeter* meter) {
-  support::require(is_valid_tour(order, order.size()) &&
-                       order.size() <= points.size(),
-                   "or_opt needs a valid tour");
-  const std::size_t n = order.size();
-  if (n < 5) return 0.0;
-  obs::TraceSpan span("tsp.or_opt");
-  span.attr("n", static_cast<std::int64_t>(n));
-  NeighborSearch search(points, order, options);
-  std::uint64_t passes = 0;
-  std::uint64_t certify_sweeps = 0;
-  for (std::size_t pass = 0; pass < options.max_passes; ++pass) {
-    if (meter != nullptr && !meter->charge()) break;
-    ++passes;
-    bool improved = false;
-    for (std::uint32_t a = 0; a < n; ++a) {
-      if (search.parked(a)) continue;
-      if (search.improve_city_or_opt(a)) {
-        improved = true;
-      } else {
-        search.park(a);
-      }
-    }
-    if (!improved) {
-      if (!options.certify) break;
-      ++certify_sweeps;
-      if (!search.certify_or_opt()) break;
-    }
-  }
-  search.write_back(order);
-  {
-    static const obs::Counter calls("tsp.or_opt.calls");
-    static const obs::Counter moves("tsp.or_opt.moves");
-    static const obs::Counter resets("tsp.or_opt.dont_look_resets");
-    static const obs::Counter sweeps("tsp.or_opt.certify_sweeps");
-    static const obs::Counter pass_count("tsp.or_opt.passes");
-    static const obs::Histogram gains("tsp.or_opt.move_gain", kGainBounds);
-    calls.add();
-    moves.add(search.moves());
-    resets.add(search.dont_look_resets());
-    sweeps.add(certify_sweeps);
-    pass_count.add(passes);
-    for (const double gain : search.move_gains()) gains.observe(gain);
-  }
-  span.attr("passes", passes)
-      .attr("moves", search.moves())
-      .attr("certify_sweeps", certify_sweeps)
-      .attr("gain", search.gain_sum());
-  return search.gain_sum();
+  return local_search<OrOptMoves>(points, order, options, meter);
 }
 
 double improve_tour(std::span<const Point2> points, Tour& order,

@@ -29,15 +29,14 @@ struct SolverOptions {
   // comparison all read it, so there is a single source of truth. Null =
   // Euclidean.
   ImproveOptions improve;
-  // Resource limits; unlimited by default. When a budget trips the solver
-  // degrades instead of hanging: a tripped Held-Karp falls back to the
-  // heuristic path, local search stops at a pass boundary, and remaining
-  // multi-starts are skipped — the returned tour is always valid.
-  support::Budget budget{};
 };
 
 // Returns a closed tour over all points. Empty input yields an empty tour.
-// A non-null `meter` overrides options.budget (shared ladder budgets).
+// A non-null `meter` bounds the solve; null runs unbudgeted. When the
+// meter trips the solver degrades instead of hanging: a tripped Held-Karp
+// falls back to the heuristic path, local search stops at a pass
+// boundary, and remaining multi-starts are skipped — the returned tour is
+// always valid.
 Tour solve_tsp(std::span<const geometry::Point2> points,
                const SolverOptions& options = SolverOptions{},
                support::BudgetMeter* meter = nullptr);

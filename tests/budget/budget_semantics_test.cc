@@ -39,9 +39,11 @@ TEST(BudgetSemanticsTest, TinyNodeBudgetYieldsValidSuboptimalCover) {
   ASSERT_TRUE(full.has_value());
   ASSERT_TRUE(full.value().optimal);
 
-  bundle::ExactCoverOptions tiny;
-  tiny.budget.node_cap = 3;  // trips almost immediately
-  const auto capped = bundle::exact_cover_anytime(d, candidates, tiny);
+  support::Budget tiny;
+  tiny.node_cap = 3;  // trips almost immediately
+  support::BudgetMeter meter(tiny);
+  const auto capped =
+      bundle::exact_cover_anytime(d, candidates, unlimited, &meter);
   ASSERT_TRUE(capped.has_value());
   const bundle::CoverSolution& solution = capped.value();
   EXPECT_FALSE(solution.optimal);
@@ -133,9 +135,10 @@ TEST(BudgetSemanticsTest, ReplanLadderReportsBudgetExhausted) {
   tour::PlannerConfig config;
   config.bundle_radius = 50.0;
 
-  tour::ReplanOptions options;
-  options.budget.cancel.request_cancel();  // tripped before the first rung
-  const auto replanned = tour::replan_tour(d, request, config, options);
+  tour::PlannerConfig cancelled = config;
+  cancelled.budget = support::Budget{};  // a token not shared with config
+  cancelled.budget.cancel.request_cancel();  // tripped before the first rung
+  const auto replanned = tour::replan_tour(d, request, cancelled);
   ASSERT_FALSE(replanned.has_value());
   EXPECT_EQ(replanned.fault().kind, support::FaultKind::kBudgetExhausted);
 

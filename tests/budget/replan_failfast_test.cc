@@ -86,12 +86,11 @@ TEST(ReplanFailFastTest, ExpiredDeadlineFailsBeforeAnyRung) {
   tour::PlannerConfig config;
   config.bundle_radius = 120.0;
 
-  tour::ReplanOptions options;
-  options.budget.deadline_s = 1e-9;  // expired by the first checkpoint
+  config.budget.deadline_s = 1e-9;  // expired by the first checkpoint
 
   obs::MetricsRegistry registry;
   obs::ScopedMetricsRegistry scope(registry);
-  auto result = tour::replan_tour(d, full_replan(d), config, options);
+  auto result = tour::replan_tour(d, full_replan(d), config);
   ASSERT_FALSE(result.has_value());
   EXPECT_EQ(result.fault().kind, support::FaultKind::kBudgetExhausted);
   EXPECT_EQ(rungs_attempted(registry), 0u);
@@ -102,12 +101,11 @@ TEST(ReplanFailFastTest, CancelledTokenFailsBeforeAnyRung) {
   tour::PlannerConfig config;
   config.bundle_radius = 120.0;
 
-  tour::ReplanOptions options;
-  options.budget.cancel.request_cancel();
+  config.budget.cancel.request_cancel();
 
   obs::MetricsRegistry registry;
   obs::ScopedMetricsRegistry scope(registry);
-  auto result = tour::replan_tour(d, full_replan(d), config, options);
+  auto result = tour::replan_tour(d, full_replan(d), config);
   ASSERT_FALSE(result.has_value());
   EXPECT_EQ(result.fault().kind, support::FaultKind::kBudgetExhausted);
   EXPECT_EQ(rungs_attempted(registry), 0u);

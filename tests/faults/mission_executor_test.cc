@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <utility>
+#include <vector>
 
 #include "support/require.h"
 
@@ -154,6 +156,52 @@ TEST(MissionExecutorTest, DeadMemberReplanPolicyReroutesSurvivors) {
   EXPECT_GE(report.count(FaultKind::kSensorDead), 1u);
   EXPECT_EQ(report.stops_visited, 0u);
   EXPECT_TRUE(report.completed);  // nobody alive is owed anything
+}
+
+// The replan a dead member triggers runs under the executor's planner
+// budget: a pre-cancelled token must surface as a kBudgetExhausted
+// disruption instead of a silently unbudgeted replan.
+TEST(MissionExecutorTest, DeadMemberReplanHonoursThePlannerBudget) {
+  const net::Deployment d(
+      {{30.0, 0.0}, {60.0, 0.0}, {90.0, 0.0}, {120.0, 0.0}},
+      geometry::Box2{{-10.0, -10.0}, {200.0, 10.0}}, {0.0, 0.0}, 2.0);
+  FaultConfig fault_config;
+  fault_config.seed = 3;
+  fault_config.permanent_death_rate_per_day = 0.05;
+  const FaultModel faults(d, fault_config);
+  // Start just after the first death, while the other sensors still live,
+  // and visit the dead sensor's stop first so the replan has work left.
+  net::SensorId first_dead = 0;
+  for (net::SensorId id = 1; id < d.size(); ++id) {
+    if (faults.death_time_s(id) < faults.death_time_s(first_dead)) {
+      first_dead = id;
+    }
+  }
+  const double start = faults.death_time_s(first_dead) + 1.0;
+  std::size_t alive = 0;
+  for (net::SensorId id = 0; id < d.size(); ++id) {
+    if (!faults.is_failed(id, start)) ++alive;
+  }
+  ASSERT_EQ(alive, d.size() - 1) << "need exactly one dead sensor at start";
+  tour::ChargingPlan plan = singleton_plan(d);
+  std::swap(plan.stops[0], plan.stops[first_dead]);
+
+  ExecutorConfig config = quick_config();
+  config.on_dead_member = DisruptionPolicy::kReplan;
+  const std::vector<double> demand(d.size(), 1.0);
+  auto unbudgeted = execute_mission(d, demand, plan, faults, start, config);
+  ASSERT_TRUE(unbudgeted.has_value());
+  EXPECT_EQ(unbudgeted.value().replans, 1u);
+  EXPECT_EQ(unbudgeted.value().count(FaultKind::kBudgetExhausted), 0u);
+
+  config.planner.budget.cancel.request_cancel();
+  auto cancelled = execute_mission(d, demand, plan, faults, start, config);
+  ASSERT_TRUE(cancelled.has_value());
+  const MissionReport& report = cancelled.value();
+  EXPECT_EQ(report.replans, 0u);
+  EXPECT_EQ(report.count(FaultKind::kBudgetExhausted), 1u);
+  // The failed replan falls back to serving the surviving members.
+  EXPECT_EQ(report.stops_visited, alive);
 }
 
 // One sensor, no cross-stop spill: with tolerance 1.0 any degraded

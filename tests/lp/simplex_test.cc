@@ -202,11 +202,12 @@ TEST(SimplexTest, IterationCapReportsLimit) {
 }
 
 TEST(SimplexTest, NodeBudgetTripsAsBudgetExhausted) {
-  SimplexOptions options;
-  options.budget.node_cap = 1;  // one pivot allowed, solve needs more
+  support::Budget budget;
+  budget.node_cap = 1;  // one pivot allowed, solve needs more
+  support::BudgetMeter meter(budget);
   const Solution s = solve(
       make_problem(2, {1.0, 1.0}, {{1.0, 2.0}, {3.0, 1.0}}, {4.0, 6.0}),
-      options);
+      SimplexOptions{}, &meter);
   EXPECT_EQ(s.status, Status::kBudgetExhausted);
 }
 

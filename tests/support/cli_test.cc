@@ -74,6 +74,11 @@ TEST(CliFlagsTest, UnknownFlagFails) {
   std::string errors;
   EXPECT_FALSE(parse(flags, {"--bogus=1"}, &errors));
   EXPECT_NE(errors.find("unknown flag"), std::string::npos);
+  // A trailing unknown switch is unknown, not a flag missing its value.
+  CliFlags trailing = make_flags();
+  std::string trailing_errors;
+  EXPECT_FALSE(parse(trailing, {"--bogus"}, &trailing_errors));
+  EXPECT_NE(trailing_errors.find("unknown flag --bogus"), std::string::npos);
 }
 
 TEST(CliFlagsTest, MalformedNumberFails) {
